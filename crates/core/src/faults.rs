@@ -152,6 +152,17 @@ impl FaultKind {
         }
     }
 
+    /// Whether this kind acts on message *timing* only — a delay spike or
+    /// a straggler burst. Such windows change when messages arrive, never
+    /// which ones count: every other kind gates membership or attacks on
+    /// the step number itself.
+    pub fn is_timing(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::DelaySpike { .. } | FaultKind::StragglerWorkers { .. }
+        )
+    }
+
     /// Short class label for manifests and trace output.
     pub fn label(&self) -> &'static str {
         match self {
@@ -208,6 +219,13 @@ impl FaultSchedule {
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
+    }
+
+    /// Whether any window [is timing-only](FaultKind::is_timing) (a delay
+    /// spike or a straggler burst) — the only faults that need a clock
+    /// beyond step numbers.
+    pub fn has_timing_faults(&self) -> bool {
+        self.windows.iter().any(|w| w.kind.is_timing())
     }
 
     fn active(&self, step: u64) -> impl Iterator<Item = &FaultKind> {
@@ -351,6 +369,39 @@ mod tests {
         assert!(fs.worker_attack_active(0), "ungated attacks always live");
         assert!(fs.server_attack_active(99));
         assert!(fs.worker_attack_windows().is_empty());
+        assert!(!fs.has_timing_faults());
+    }
+
+    #[test]
+    fn only_spikes_and_stragglers_are_timing_faults() {
+        let membership = FaultSchedule::none()
+            .with(0, 4, FaultKind::CrashServers { servers: vec![0] })
+            .with(0, 4, FaultKind::CrashWorkers { workers: vec![1] })
+            .with(
+                1,
+                3,
+                FaultKind::PartitionServers {
+                    groups: vec![vec![0], vec![1]],
+                },
+            )
+            .with(2, 5, FaultKind::WorkerAttack)
+            .with(2, 5, FaultKind::ServerAttack)
+            .with(0, 9, FaultKind::WorkerChurn { period: 2, pool: 3 });
+        assert!(!membership.has_timing_faults());
+
+        let spike = FaultKind::DelaySpike {
+            factor: 2.0,
+            extra_secs: 0.0,
+        };
+        let straggler = FaultKind::StragglerWorkers {
+            workers: vec![0],
+            extra_secs: 1.0,
+        };
+        for timing in [spike, straggler] {
+            assert!(timing.is_timing());
+            let fs = membership.clone().with(3, 4, timing.clone());
+            assert!(fs.has_timing_faults(), "{}", timing.label());
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::pool::{BufPool, PoolStats};
 use crate::transport::{Incoming, RecvError, Transport};
@@ -67,6 +67,11 @@ const MAX_BATCH: usize = 64;
 /// A writer making zero progress for this long is severed (a genuinely
 /// wedged peer must not hang shutdown forever).
 const WRITE_STALL: Duration = Duration::from_secs(30);
+
+/// How long mesh construction keeps accepting after the dialler finished
+/// without error: every link is connected by then, and only the kernel's
+/// queueing of the last connections on their listeners is outstanding.
+const ACCEPT_GRACE: Duration = Duration::from_secs(10);
 
 /// Backstop for the reader plane's parked wait. Every event the plane can
 /// observe (bytes flushed, peer half-close, severed socket, endpoint
@@ -217,9 +222,8 @@ impl TcpTransport {
             let addrs = addrs.clone();
             std::thread::Builder::new()
                 .name("tcp-mesh-dial".into())
-                .spawn(move || -> std::io::Result<Vec<Vec<(usize, TcpStream)>>> {
-                    let mut outgoing: Vec<Vec<(usize, TcpStream)>> =
-                        (0..n).map(|_| Vec::new()).collect();
+                .spawn(move || -> std::io::Result<Links> {
+                    let mut outgoing: Links = (0..n).map(|_| Vec::new()).collect();
                     for (from, dialled) in outgoing.iter_mut().enumerate() {
                         for (to, addr) in addrs.iter().enumerate() {
                             if !links[from][to] {
@@ -238,63 +242,7 @@ impl TcpTransport {
                 })?
         };
 
-        // Accept every inbound link and identify the dialler. Listeners
-        // poll non-blockingly so a dialler failure surfaces as an error
-        // here instead of an accept that waits forever.
-        let accepted = (|| -> std::io::Result<Vec<Vec<(usize, TcpStream)>>> {
-            let mut incoming: Vec<Vec<(usize, TcpStream)>> = (0..n).map(|_| Vec::new()).collect();
-            for (to, listener) in listeners.iter().enumerate() {
-                listener.set_nonblocking(true)?;
-                let expected = (0..n).filter(|&from| links[from][to]).count();
-                while incoming[to].len() < expected {
-                    let (mut s, _) = match listener.accept() {
-                        Ok(conn) => conn,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if dialler.is_finished() {
-                                // Dialling ended (necessarily in error —
-                                // success implies every link was dialled);
-                                // stop so the join below reports it.
-                                return Err(std::io::Error::new(
-                                    std::io::ErrorKind::ConnectionAborted,
-                                    "dialler exited before all links connected",
-                                ));
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    // Not inherited from the listener on all platforms.
-                    s.set_nonblocking(false)?;
-                    s.set_nodelay(true)?;
-                    let mut hello = [0u8; 8];
-                    s.read_exact(&mut hello)?;
-                    let magic = u32::from_le_bytes(hello[..4].try_into().expect("4 bytes"));
-                    if magic != MAGIC {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "bad handshake magic",
-                        ));
-                    }
-                    let from = u32::from_le_bytes(hello[4..].try_into().expect("4 bytes")) as usize;
-                    if from >= n || !links[from][to] {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("handshake from unexpected peer {from}"),
-                        ));
-                    }
-                    incoming[to].push((from, s));
-                }
-            }
-            Ok(incoming)
-        })();
-        let dialled = dialler
-            .join()
-            .map_err(|_| std::io::Error::other("dialler thread panicked"))?;
-        // A dial error is the root cause; report it ahead of the accept
-        // error it induced.
-        let outgoing = dialled?;
-        let incoming = accepted?;
+        let (outgoing, incoming) = collect_links(&listeners, &links, dialler)?;
 
         // Assemble the endpoints: one writer thread per outgoing link, one
         // reader thread per node multiplexing every incoming link, one
@@ -428,6 +376,104 @@ impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Each node's links of one direction: `(peer id, stream)` pairs.
+type Links = Vec<Vec<(usize, TcpStream)>>;
+
+/// Accepts every inbound link of a mesh while `dialler` dials them, and
+/// returns `(outgoing, incoming)` per node. A dial error is the root
+/// cause of any accept error it induces, so it is reported first.
+///
+/// A dialler that finished *successfully* is not a failure: a loopback
+/// `connect()` can return before the kernel has queued the connection on
+/// the listener (a loaded host defers that work), so its links get
+/// [`ACCEPT_GRACE`] to arrive.
+fn collect_links(
+    listeners: &[TcpListener],
+    links: &[Vec<bool>],
+    dialler: JoinHandle<std::io::Result<Links>>,
+) -> std::io::Result<(Links, Links)> {
+    let join = |h: JoinHandle<std::io::Result<Links>>| {
+        h.join()
+            .unwrap_or_else(|_| Err(std::io::Error::other("dialler thread panicked")))
+    };
+    let mut dialler = Some(dialler);
+    let mut dialled = None;
+    let mut deadline = None;
+    let accepted = accept_links(listeners, links, || {
+        if let Some(h) = dialler.take_if(|h| h.is_finished()) {
+            let result = join(h);
+            let failed = result.is_err();
+            dialled = Some(result);
+            if failed {
+                // Stop; the dial error is reported below.
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionAborted,
+                    "dialler failed before all links connected",
+                ));
+            }
+            deadline = Some(Instant::now() + ACCEPT_GRACE);
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "dialled links never reached the listeners",
+            ));
+        }
+        Ok(())
+    });
+    let dialled = dialled.unwrap_or_else(|| join(dialler.take().expect("joined at most once")));
+    Ok((dialled?, accepted?))
+}
+
+/// Accepts and identifies every inbound link (`links[from][to]`) on the
+/// listeners. They poll non-blockingly; between empty polls `on_idle`
+/// decides whether to keep waiting, so a failed dialler surfaces as an
+/// error instead of an accept that waits forever.
+fn accept_links(
+    listeners: &[TcpListener],
+    links: &[Vec<bool>],
+    mut on_idle: impl FnMut() -> std::io::Result<()>,
+) -> std::io::Result<Links> {
+    let n = listeners.len();
+    let mut incoming: Links = (0..n).map(|_| Vec::new()).collect();
+    for (to, listener) in listeners.iter().enumerate() {
+        listener.set_nonblocking(true)?;
+        let expected = (0..n).filter(|&from| links[from][to]).count();
+        while incoming[to].len() < expected {
+            let (mut s, _) = match listener.accept() {
+                Ok(conn) => conn,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    on_idle()?;
+                    std::thread::sleep(Duration::from_millis(2));
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            // Not inherited from the listener on all platforms.
+            s.set_nonblocking(false)?;
+            s.set_nodelay(true)?;
+            let mut hello = [0u8; 8];
+            s.read_exact(&mut hello)?;
+            let magic = u32::from_le_bytes(hello[..4].try_into().expect("4 bytes"));
+            if magic != MAGIC {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "bad handshake magic",
+                ));
+            }
+            let from = u32::from_le_bytes(hello[4..].try_into().expect("4 bytes")) as usize;
+            if from >= n || !links[from][to] {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("handshake from unexpected peer {from}"),
+                ));
+            }
+            incoming[to].push((from, s));
+        }
+    }
+    Ok(incoming)
 }
 
 /// Pumps queued frames onto one socket, length-prefixed and **batched**:
@@ -638,7 +684,6 @@ fn reader_plane(
 mod tests {
     use super::*;
     use crate::wire::{decode, encode, prefix_frame};
-    use std::time::Instant;
     use tensor::Tensor;
 
     fn msg(step: u64, vals: Vec<f32>) -> WireMsg {
@@ -702,6 +747,79 @@ mod tests {
         n0.shutdown();
         n1.shutdown();
         assert_eq!(n1.link_failures(), 0);
+    }
+
+    /// Mesh construction under CPU contention: a dialler that finished
+    /// successfully may still have connections the kernel has not yet
+    /// queued on their listeners. Construction must wait for them rather
+    /// than mistake the finished dialler for a failed one.
+    #[test]
+    fn meshes_build_while_every_core_is_busy() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let spinners: Vec<_> = (0..cores)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        let built: Vec<_> = (0..40)
+            .map(|_| TcpTransport::mesh(15, |_, _| true).map(drop))
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        for t in spinners {
+            t.join().unwrap();
+        }
+        for (i, result) in built.into_iter().enumerate() {
+            if let Err(e) = result {
+                panic!("mesh {i} failed to build: {e}");
+            }
+        }
+    }
+
+    /// Two loopback listeners and the one-link topology 0→1.
+    fn one_link() -> (Vec<TcpListener>, Vec<Vec<bool>>) {
+        let listeners = (0..2)
+            .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
+            .collect();
+        (listeners, vec![vec![false, true], vec![false, false]])
+    }
+
+    /// The race the load test above samples, made deterministic: the
+    /// dialler reports success before its connection reaches the
+    /// listener's accept queue.
+    #[test]
+    fn links_queued_after_a_successful_dialler_are_accepted() {
+        let (listeners, links) = one_link();
+        let addr = listeners[1].local_addr().unwrap();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            let mut s = TcpStream::connect(addr).unwrap();
+            let mut hello = [0u8; 8];
+            hello[..4].copy_from_slice(&MAGIC.to_le_bytes());
+            s.write_all(&hello).unwrap();
+            s
+        });
+        let dialler = std::thread::spawn(|| Ok(vec![Vec::new(), Vec::new()]));
+        let (_, incoming) = collect_links(&listeners, &links, dialler).unwrap();
+        let peers: Vec<Vec<usize>> = incoming
+            .iter()
+            .map(|inc| inc.iter().map(|&(from, _)| from).collect())
+            .collect();
+        assert_eq!(peers, vec![vec![], vec![0]]);
+        late.join().unwrap();
+    }
+
+    #[test]
+    fn a_failed_dialler_is_reported_as_the_cause() {
+        let (listeners, links) = one_link();
+        let dialler = std::thread::spawn(|| Err(std::io::Error::other("dial refused")));
+        let err = collect_links(&listeners, &links, dialler).unwrap_err();
+        assert_eq!(err.to_string(), "dial refused");
     }
 
     #[test]

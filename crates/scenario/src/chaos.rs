@@ -33,7 +33,7 @@ use tensor::TensorRng;
 
 use crate::check::check_invariants;
 use crate::run::{
-    calibrate_round_secs, run_event_with, run_lockstep, run_threaded, Engine, ScenarioRun,
+    event_fault_plan, run_event_planned, run_lockstep, run_threaded, Engine, ScenarioRun,
 };
 use crate::scenario::Scenario;
 use crate::shrink::{shrink, ShrinkOutcome};
@@ -89,16 +89,16 @@ impl Violation {
     }
 }
 
-/// Runs a scenario twice on one engine (sharing the event calibration) so
+/// Runs a scenario twice on one engine (sharing the event fault plan) so
 /// determinism can be judged without panicking.
 fn run_pair(scn: &Scenario, engine: Engine) -> guanyu::Result<(ScenarioRun, ScenarioRun)> {
     Ok(match engine {
         Engine::Lockstep => (run_lockstep(scn)?, run_lockstep(scn)?),
         Engine::EventDriven => {
-            let round_secs = calibrate_round_secs(scn)?;
+            let plan = event_fault_plan(scn)?;
             (
-                run_event_with(scn, round_secs)?,
-                run_event_with(scn, round_secs)?,
+                run_event_planned(scn, plan.clone())?,
+                run_event_planned(scn, plan)?,
             )
         }
         Engine::Threaded => (run_threaded(scn)?, run_threaded(scn)?),

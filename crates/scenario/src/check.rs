@@ -17,7 +17,7 @@ use guanyu::Result;
 use serde::{Deserialize, Serialize};
 
 use crate::run::{
-    calibrate_round_secs, run_event_with, run_lockstep, run_threaded, Engine, ScenarioRun,
+    event_fault_plan, run_event_planned, run_lockstep, run_threaded, Engine, ScenarioRun,
 };
 use crate::scenario::Scenario;
 
@@ -66,12 +66,12 @@ pub fn assert_deterministic(scn: &Scenario, engine: Engine) -> Result<ScenarioRu
     let (a, b) = match engine {
         Engine::Lockstep => (run_lockstep(scn)?, run_lockstep(scn)?),
         Engine::EventDriven => {
-            // Calibration is deterministic: measure once, share across
-            // both replays (saves a full dry run per replay).
-            let round_secs = calibrate_round_secs(scn)?;
+            // The plan (and any calibration behind it) is deterministic:
+            // compile once, share across both replays.
+            let plan = event_fault_plan(scn)?;
             (
-                run_event_with(scn, round_secs)?,
-                run_event_with(scn, round_secs)?,
+                run_event_planned(scn, plan.clone())?,
+                run_event_planned(scn, plan)?,
             )
         }
         Engine::Threaded => (run_threaded(scn)?, run_threaded(scn)?),

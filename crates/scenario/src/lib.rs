@@ -12,10 +12,12 @@
 //!
 //! * **lockstep** ([`run_lockstep`]) — the schedule applies round by
 //!   round through the fault hooks in `guanyu::lockstep`;
-//! * **event-driven** ([`run_event`]) — attack windows gate on the step
-//!   numbers carried in protocol messages (exact), while environmental
-//!   faults compile to a `simnet::FaultPlan` over simulated time, the
-//!   round→time mapping calibrated by a fault-free dry run.
+//! * **event-driven** ([`run_event`]) — membership faults and attack
+//!   windows gate on the step numbers carried in protocol messages
+//!   (exact), while timing faults (delay spikes, stragglers) compile to a
+//!   `simnet::FaultPlan` over simulated time. Their round→time mapping is
+//!   calibrated by a fault-free dry run, made only when the schedule has
+//!   such a window.
 //!
 //! Every run records a [`guanyu::trace::Trace`] of per-round digests
 //! (model hashes, quorum compositions, message counts). The checker

@@ -119,18 +119,18 @@ pub fn run_lockstep(scn: &Scenario) -> Result<ScenarioRun> {
     })
 }
 
-/// Compiles the *timing* faults of the schedule to a [`FaultPlan`] over
-/// simulated time, mapping round `r` to `[r · round_secs, …)`. Only delay
-/// spikes and stragglers compile: membership faults (crashes, partitions,
-/// churn) and attack windows gate on exact step numbers inside the shared
-/// node machines' planner, so compiling them here too would apply them
-/// twice — once exactly and once at the approximate time scale.
+/// Compiles the *timing* faults of the schedule ([`FaultKind::is_timing`])
+/// to a [`FaultPlan`] over simulated time, mapping round `r` to
+/// `[r · round_secs, …)`. Membership faults (crashes, partitions, churn)
+/// and attack windows gate on exact step numbers inside the shared node
+/// machines' planner, so compiling them here too would apply them twice —
+/// once exactly and once at the approximate time scale.
 fn compile_fault_plan(scn: &Scenario, round_secs: f64) -> FaultPlan {
     let servers = scn.cluster.servers;
     let t = |step: u64| SimTime::from_secs_f64(step as f64 * round_secs);
     let worker_node = |w: usize| NodeId(servers + w);
     let mut plan = FaultPlan::none();
-    for w in &scn.faults.windows {
+    for w in scn.faults.windows.iter().filter(|w| w.kind.is_timing()) {
         let (start, end) = (t(w.start), t(w.end));
         match &w.kind {
             FaultKind::DelaySpike { factor, extra_secs } => {
@@ -144,12 +144,20 @@ fn compile_fault_plan(scn: &Scenario, round_secs: f64) -> FaultPlan {
                     plan = plan.straggler(worker_node(wk), *extra_secs, start, end);
                 }
             }
-            // Membership faults and attack windows gate inside the node
-            // machines, exactly per step.
-            _ => {}
+            other => unreachable!("{} is not a timing fault", other.label()),
         }
     }
     plan
+}
+
+/// The event engine's fault plan for `scn`. Only timing windows need the
+/// round→time scale, so the calibration dry run happens only when the
+/// schedule has one: without, the compiled plan is empty at any scale.
+pub(crate) fn event_fault_plan(scn: &Scenario) -> Result<FaultPlan> {
+    if !scn.faults.has_timing_faults() {
+        return Ok(FaultPlan::none());
+    }
+    Ok(compile_fault_plan(scn, calibrate_round_secs(scn)?))
 }
 
 fn protocol_config(scn: &Scenario) -> ProtocolConfig {
@@ -200,17 +208,21 @@ pub fn calibrate_round_secs(scn: &Scenario) -> Result<f64> {
 /// Runs the scenario on the event-driven engine.
 ///
 /// Environmental fault windows are given in rounds; the event engine runs
-/// on simulated time, so [`calibrate_round_secs`] first measures the mean
-/// round duration fault-free, then the schedule compiles at that scale.
-/// The mapping is approximate by construction (faults themselves stretch
-/// rounds); the invariants the checker asserts are robust to that skew.
+/// on simulated time. Membership faults and attack windows gate on the
+/// step numbers the machines carry, exactly. Timing faults (delay spikes,
+/// stragglers) act on the clock, so when the schedule has any,
+/// [`calibrate_round_secs`] first measures the mean round duration
+/// fault-free and the timing windows compile at that scale. The mapping
+/// is approximate by construction (faults themselves stretch rounds); the
+/// invariants the checker asserts are robust to that skew. Without timing
+/// windows no dry run happens, and the result equals
+/// [`run_event_with`] at any calibration.
 ///
 /// # Errors
 ///
 /// Propagates configuration and substrate errors.
 pub fn run_event(scn: &Scenario) -> Result<ScenarioRun> {
-    let round_secs = calibrate_round_secs(scn)?;
-    run_event_with(scn, round_secs)
+    run_event_planned(scn, event_fault_plan(scn)?)
 }
 
 /// Runs the scenario on the event-driven engine with a pre-computed
@@ -220,10 +232,19 @@ pub fn run_event(scn: &Scenario) -> Result<ScenarioRun> {
 ///
 /// Propagates configuration and substrate errors.
 pub fn run_event_with(scn: &Scenario, round_secs: f64) -> Result<ScenarioRun> {
+    run_event_planned(scn, compile_fault_plan(scn, round_secs))
+}
+
+/// Runs the scenario on the event-driven engine under an already compiled
+/// fault plan (see [`event_fault_plan`]).
+///
+/// # Errors
+///
+/// Propagates configuration and substrate errors.
+pub(crate) fn run_event_planned(scn: &Scenario, plan: FaultPlan) -> Result<ScenarioRun> {
     let cfg = protocol_config(scn);
     let builder = model_builder(scn);
     let (train, _) = synthetic_cifar(&scn.data)?;
-    let plan = compile_fault_plan(scn, round_secs);
     let (sim, rec) = build_simulation_net(&cfg, &builder, train, scn.seed, &scn.network)?;
     let mut sim = sim.with_faults(plan);
     sim.run();
@@ -359,6 +380,23 @@ mod tests {
             );
         let plan = compile_fault_plan(&scn, 1.0);
         assert_eq!(plan.len(), 1, "only the delay spike compiles");
+    }
+
+    #[test]
+    fn event_fault_plan_is_empty_without_timing_windows() {
+        let membership = Scenario::baseline("t", 5)
+            .with_fault(0, 6, FaultKind::WorkerChurn { period: 2, pool: 3 })
+            .with_fault(1, 2, FaultKind::CrashServers { servers: vec![1] });
+        assert!(event_fault_plan(&membership).unwrap().is_empty());
+        let straggled = membership.with_fault(
+            2,
+            4,
+            FaultKind::StragglerWorkers {
+                workers: vec![0, 1],
+                extra_secs: 1.0,
+            },
+        );
+        assert_eq!(event_fault_plan(&straggled).unwrap().len(), 2);
     }
 
     #[test]
