@@ -32,7 +32,7 @@ use std::sync::Arc;
 use aggregation::{CoordinateWiseMedian, Gar, GarKind};
 use byzantine::AttackKind;
 use data::{partition_dataset, Batcher, Dataset, Partition};
-use nn::{softmax_cross_entropy, LrSchedule, Sequential};
+use nn::{LrSchedule, Sequential};
 use simnet::DelayModel;
 use tensor::{Tensor, TensorRng};
 
@@ -529,13 +529,8 @@ impl LockstepTrainer {
     /// One forward/backward pass on worker `w`'s shard at the folded view.
     fn compute_gradient(&mut self, w: usize, view: &Tensor) -> Result<Tensor> {
         let worker = &mut self.worker_data[w];
-        worker.model.set_param_vector(view)?;
-        worker.model.zero_grads();
         let (x, labels) = worker.batcher.next_batch(&worker.shard)?;
-        let logits = worker.model.forward(&x, true)?;
-        let (_, dlogits) = softmax_cross_entropy(&logits, &labels)?;
-        worker.model.backward(&dlogits)?;
-        Ok(worker.model.grad_vector())
+        Ok(worker.model.gradient(view, &x, &labels)?)
     }
 
     /// Slowest sampled arrival among `senders` under the round's delay

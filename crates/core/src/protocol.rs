@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use data::{Batcher, Dataset};
-use nn::{softmax_cross_entropy, LrSchedule, Sequential};
+use nn::{LrSchedule, Sequential};
 use simnet::{Context, DelayModel, NetworkModel, NodeId, SimNode, SimTime, Simulator};
 use tensor::{Tensor, TensorRng};
 
@@ -265,21 +265,11 @@ impl WorkerDriver {
     /// yields a non-finite gradient, which the machine swallows (the step
     /// is skipped rather than stalling the worker forever).
     fn compute_gradient(&mut self, folded: &Tensor) -> Tensor {
-        let d = folded.len();
-        if self.model.set_param_vector(folded).is_err() {
-            return Tensor::full(&[d], f32::NAN);
-        }
-        self.model.zero_grads();
         self.batcher
             .next_batch(&self.train)
-            .map_err(|e| e.to_string())
-            .and_then(|(x, labels)| {
-                let logits = self.model.forward(&x, true).map_err(|e| e.to_string())?;
-                let (_, dl) = softmax_cross_entropy(&logits, &labels).map_err(|e| e.to_string())?;
-                self.model.backward(&dl).map_err(|e| e.to_string())?;
-                Ok(self.model.grad_vector())
-            })
-            .unwrap_or_else(|_| Tensor::full(&[d], f32::NAN))
+            .ok()
+            .and_then(|(x, labels)| self.model.gradient(folded, &x, &labels).ok())
+            .unwrap_or_else(|| Tensor::full(&[folded.len()], f32::NAN))
     }
 
     fn flush(&mut self, mut out: Vec<Output>, ctx: &mut Context<'_, Msg>) {

@@ -44,13 +44,13 @@ impl Layer for Relu {
                 got: grad_out.dims().to_vec(),
             });
         }
-        let mut dx = grad_out.clone();
-        for (g, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
-        }
-        Ok(dx)
+        let dx: Vec<f32> = grad_out
+            .as_slice()
+            .iter()
+            .zip(mask)
+            .map(|(&g, &m)| if m { g } else { 0.0 })
+            .collect();
+        Ok(Tensor::from_vec(dx, grad_out.dims())?)
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -1,6 +1,8 @@
 //! 2-D convolution via im2col + matrix multiplication.
 
-use tensor::{Tensor, TensorRng};
+use std::ops::Range;
+
+use tensor::{matmul_into, MatRef, Tensor, TensorRng};
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
@@ -39,10 +41,17 @@ impl Padding {
 /// 2-D convolution over `[batch, channels, height, width]` activations.
 ///
 /// Weights `[out_channels, in_channels · k · k]`, bias `[out_channels]`.
-/// The forward pass lowers each sample to a column matrix (im2col) and
-/// multiplies by the weight matrix; the backward pass recomputes the columns
-/// from the cached input (trading FLOPs for memory — caching columns for a
-/// batch of CIFAR-sized activations would cost hundreds of MB).
+/// Each sample is lowered to a column matrix (im2col) and multiplied by
+/// the weight matrix with [`tensor::matmul_into`], straight into the
+/// output. The lowering is a gather through index tables built once per
+/// input size. The layer keeps one column buffer, sized for one sample
+/// and reused by every sample and every call. The backward pass
+/// recomputes a sample's columns from the cached input, in the transposed
+/// layout its `dW` product wants, and then reuses the same buffer for that
+/// sample's column gradients. Caching the columns of a whole batch instead
+/// would cost hundreds of MB at CIFAR scale, and even at test scale a
+/// whole-batch buffer is large enough for the allocator to map it afresh
+/// on every call.
 #[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,
@@ -55,6 +64,138 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
+    lowering: Lowering,
+    /// One sample's columns (or column gradients), reused across calls.
+    cols: Vec<f32>,
+    /// One sample's weight gradient, before it is added to `grad_weight`.
+    sample_dw: Vec<f32>,
+}
+
+/// The im2col lowering of one input size as two gather tables. Entry
+/// `(tap, position)` is the index, within one `[c, h, w]` sample, of the
+/// input value kernel tap `tap = (c, kh, kw)` reads at output position
+/// `position = (oy, ox)`, or `c·h·w` (a zero slot one past the sample)
+/// where the tap falls in the padding.
+#[derive(Debug, Default)]
+struct Lowering {
+    /// The input `(h, w)` the tables were built for.
+    hw: (usize, usize),
+    /// Tap-major, `[c·k·k, oh·ow]`: the forward pass's column matrix, and
+    /// the `(c, kh, kw, oy, ox)` order [`Lowering::col2im`] adds in.
+    taps: Vec<u32>,
+    /// Position-major, `[oh·ow, c·k·k]`: the transposed columns of `dW`.
+    taps_t: Vec<u32>,
+    /// One sample plus the zero slot, so the gathers index it directly.
+    sample: Vec<f32>,
+}
+
+impl Lowering {
+    fn build(c_in: usize, g: &Geometry) -> Self {
+        let (h, w, k, s) = (g.h, g.w, g.k, g.s);
+        let chw = c_in * h * w;
+        let pad = u32::try_from(chw).expect("sample indexes fit in u32");
+        let mut taps = Vec::with_capacity(c_in * k * k * g.oh * g.ow);
+        for c in 0..c_in {
+            for kh in 0..k {
+                for kw in 0..k {
+                    for oy in 0..g.oh {
+                        for ox in 0..g.ow {
+                            // Unsigned wrap-around sends taps above or left
+                            // of the plane past its end too.
+                            let iy = (oy * s + kh).wrapping_sub(g.pad_h);
+                            let ix = (ox * s + kw).wrapping_sub(g.pad_w);
+                            taps.push(if iy < h && ix < w {
+                                (c * h * w + iy * w + ix) as u32
+                            } else {
+                                pad
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let (ckk, n_cols) = (c_in * k * k, g.oh * g.ow);
+        let taps_t = (0..taps.len())
+            .map(|q| taps[(q % ckk) * n_cols + q / ckk])
+            .collect();
+        Lowering {
+            hw: (h, w),
+            taps,
+            taps_t,
+            sample: vec![0.0; chw + 1],
+        }
+    }
+
+    /// im2col: `cols[i] = sample[table[i]]`, 0 in the padding, through
+    /// `taps` (`transposed = false`) or `taps_t`.
+    fn im2col(&mut self, sample: &[f32], transposed: bool, cols: &mut [f32]) {
+        let (padded, zero) = self.sample.split_at_mut(sample.len());
+        padded.copy_from_slice(sample);
+        zero[0] = 0.0;
+        let table = if transposed { &self.taps_t } else { &self.taps };
+        for (d, &t) in cols.iter_mut().zip(table) {
+            *d = self.sample[t as usize];
+        }
+    }
+
+    /// col2im, the adjoint of [`Lowering::im2col`]: `dsample[taps[i]] +=
+    /// dcols[i]` in `taps` order, dropping what lands in the padding.
+    fn col2im(&mut self, dcols: &[f32], dsample: &mut [f32]) {
+        self.sample.fill(0.0);
+        for (&v, &t) in dcols.iter().zip(&self.taps) {
+            self.sample[t as usize] += v;
+        }
+        dsample.copy_from_slice(&self.sample[..dsample.len()]);
+    }
+}
+
+/// Where a convolution or pooling window lands on one sample: the input
+/// plane, the window, and the output grid.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geometry {
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) k: usize,
+    pub(crate) s: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+    pub(crate) pad_h: usize,
+    pub(crate) pad_w: usize,
+}
+
+impl Geometry {
+    pub(crate) fn new(padding: Padding, h: usize, w: usize, k: usize, s: usize) -> Self {
+        let (oh, pad_h) = padding.geometry(h, k, s);
+        let (ow, pad_w) = padding.geometry(w, k, s);
+        Geometry {
+            h,
+            w,
+            k,
+            s,
+            oh,
+            ow,
+            pad_h,
+            pad_w,
+        }
+    }
+
+    /// The input rows output row `oy`'s window covers inside the plane.
+    pub(crate) fn input_rows(&self, oy: usize) -> Range<usize> {
+        window(oy * self.s, self.pad_h, self.h, self.k)
+    }
+
+    /// The input columns output column `ox`'s window covers inside the
+    /// plane.
+    pub(crate) fn input_cols(&self, ox: usize) -> Range<usize> {
+        window(ox * self.s, self.pad_w, self.w, self.k)
+    }
+}
+
+/// `[start − pad, start − pad + k) ∩ [0, size)`.
+fn window(start: usize, pad: usize, size: usize, k: usize) -> Range<usize> {
+    let lo = start.saturating_sub(pad).min(size);
+    let hi = (start + k).saturating_sub(pad).clamp(lo, size);
+    lo..hi
 }
 
 impl Conv2d {
@@ -81,6 +222,9 @@ impl Conv2d {
             grad_weight: Tensor::zeros(&[out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[out_channels]),
             cached_input: None,
+            lowering: Lowering::default(),
+            cols: Vec::new(),
+            sample_dw: Vec::new(),
         }
     }
 
@@ -91,95 +235,7 @@ impl Conv2d {
         (oh, ow)
     }
 
-    /// Lowers one sample `[c, h, w]` (slice of the batch buffer) into a
-    /// column matrix `[c·k·k, oh·ow]`.
-    #[allow(clippy::too_many_arguments)]
-    fn im2col(
-        &self,
-        sample: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        pad_h: usize,
-        pad_w: usize,
-        cols: &mut [f32],
-    ) {
-        let k = self.kernel;
-        let s = self.stride;
-        let c_in = self.in_channels;
-        let n_cols = oh * ow;
-        for c in 0..c_in {
-            let plane = &sample[c * h * w..(c + 1) * h * w];
-            for kh in 0..k {
-                for kw in 0..k {
-                    let row = (c * k + kh) * k + kw;
-                    let dst = &mut cols[row * n_cols..(row + 1) * n_cols];
-                    for oy in 0..oh {
-                        let iy = (oy * s + kh) as isize - pad_h as isize;
-                        let base = oy * ow;
-                        if iy < 0 || iy >= h as isize {
-                            dst[base..base + ow].fill(0.0);
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * s + kw) as isize - pad_w as isize;
-                            dst[base + ox] = if ix < 0 || ix >= w as isize {
-                                0.0
-                            } else {
-                                plane[iy * w + ix as usize]
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Scatters column gradients back onto an input-gradient sample
-    /// (the adjoint of [`Conv2d::im2col`]).
-    #[allow(clippy::too_many_arguments)]
-    fn col2im(
-        &self,
-        dcols: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        pad_h: usize,
-        pad_w: usize,
-        dsample: &mut [f32],
-    ) {
-        let k = self.kernel;
-        let s = self.stride;
-        let c_in = self.in_channels;
-        let n_cols = oh * ow;
-        for c in 0..c_in {
-            let plane = &mut dsample[c * h * w..(c + 1) * h * w];
-            for kh in 0..k {
-                for kw in 0..k {
-                    let row = (c * k + kh) * k + kw;
-                    let src = &dcols[row * n_cols..(row + 1) * n_cols];
-                    for oy in 0..oh {
-                        let iy = (oy * s + kh) as isize - pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * s + kw) as isize - pad_w as isize;
-                            if ix >= 0 && ix < w as isize {
-                                plane[iy * w + ix as usize] += src[oy * ow + ox];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize)> {
+    fn check_input(&self, input: &Tensor) -> Result<(usize, Geometry)> {
         if input.rank() != 4 || input.dims()[1] != self.in_channels {
             return Err(NnError::BadInputShape {
                 layer: self.name(),
@@ -196,7 +252,71 @@ impl Conv2d {
                 got: input.dims().to_vec(),
             });
         }
-        Ok((input.dims()[0], input.dims()[2], input.dims()[3]))
+        let (h, w) = (input.dims()[2], input.dims()[3]);
+        Ok((
+            input.dims()[0],
+            Geometry::new(self.padding, h, w, self.kernel, self.stride),
+        ))
+    }
+
+    /// Rebuilds the gather tables when the input size changed.
+    fn lower(&mut self, g: &Geometry) {
+        if self.lowering.hw != (g.h, g.w) {
+            self.lowering = Lowering::build(self.in_channels, g);
+        }
+    }
+
+    /// The backward pass; forms the input gradient only when `want_dx`.
+    fn backprop(&mut self, grad_out: &Tensor, want_dx: bool) -> Result<Option<Tensor>> {
+        let input = self
+            .cached_input
+            .clone()
+            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
+        let (batch, g) = self.check_input(&input)?;
+        self.lower(&g);
+        let oc = self.out_channels;
+        if grad_out.dims() != [batch, oc, g.oh, g.ow] {
+            return Err(NnError::BadInputShape {
+                layer: self.name(),
+                expected: format!("[{batch}, {oc}, {}, {}] gradient", g.oh, g.ow),
+                got: grad_out.dims().to_vec(),
+            });
+        }
+        let ckk = self.in_channels * self.kernel * self.kernel;
+        let n_cols = g.oh * g.ow;
+        let chw = self.in_channels * g.h * g.w;
+        self.cols.resize(ckk * n_cols, 0.0);
+        self.sample_dw.resize(oc * ckk, 0.0);
+        let mut dx = want_dx.then(|| Tensor::zeros(input.dims()));
+        let grad_weight = self.grad_weight.as_mut_slice();
+        let grad_bias = self.grad_bias.as_mut_slice();
+        let weight_t = MatRef::transposed(self.weight.as_slice(), ckk, oc);
+        for (b, go) in grad_out.as_slice().chunks_exact(oc * n_cols).enumerate() {
+            let sample = &input.as_slice()[b * chw..(b + 1) * chw];
+            // dW_b = dy · colsᵀ, added to the accumulator sample by sample.
+            self.lowering.im2col(sample, true, &mut self.cols);
+            matmul_into(
+                MatRef::new(go, oc, n_cols),
+                &self.cols,
+                ckk,
+                &mut self.sample_dw,
+            );
+            for (acc, &v) in grad_weight.iter_mut().zip(&self.sample_dw) {
+                *acc += v;
+            }
+            // db += per-channel sums of dy
+            for (acc, row) in grad_bias.iter_mut().zip(go.chunks_exact(n_cols)) {
+                let s: f32 = row.iter().sum();
+                *acc += s;
+            }
+            // dcols = Wᵀ · dy, scattered back to dx
+            if let Some(dx) = dx.as_mut() {
+                matmul_into(weight_t, go, n_cols, &mut self.cols);
+                let dsample = &mut dx.as_mut_slice()[b * chw..(b + 1) * chw];
+                self.lowering.col2im(&self.cols, dsample);
+            }
+        }
+        Ok(dx)
     }
 }
 
@@ -209,81 +329,39 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let (batch, h, w) = self.check_input(input)?;
-        let (oh, pad_h) = self.padding.geometry(h, self.kernel, self.stride);
-        let (ow, pad_w) = self.padding.geometry(w, self.kernel, self.stride);
-        let ckk = self.in_channels * self.kernel * self.kernel;
-        let n_cols = oh * ow;
-        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
-        let mut cols = vec![0.0f32; ckk * n_cols];
-        for b in 0..batch {
-            let sample = &input.as_slice()[b * self.in_channels * h * w..];
-            self.im2col(sample, h, w, oh, ow, pad_h, pad_w, &mut cols);
-            let cols_t = Tensor::from_vec(cols.clone(), &[ckk, n_cols])?;
-            let out_mat = self.weight.matmul(&cols_t)?; // [oc, oh*ow]
-            let dst = &mut out.as_mut_slice()
-                [b * self.out_channels * n_cols..(b + 1) * self.out_channels * n_cols];
-            for oc in 0..self.out_channels {
-                let bias = self.bias.as_slice()[oc];
-                for (d, &v) in dst[oc * n_cols..(oc + 1) * n_cols]
-                    .iter_mut()
-                    .zip(&out_mat.as_slice()[oc * n_cols..(oc + 1) * n_cols])
-                {
-                    *d = v + bias;
+        let (batch, g) = self.check_input(input)?;
+        self.lower(&g);
+        let (oc, ckk) = (self.out_channels, self.weight.dims()[1]);
+        let n_cols = g.oh * g.ow;
+        let chw = self.in_channels * g.h * g.w;
+        let mut out = vec![0.0f32; batch * oc * n_cols];
+        self.cols.resize(ckk * n_cols, 0.0);
+        let weight = MatRef::new(self.weight.as_slice(), oc, ckk);
+        for (sample, dst) in input
+            .as_slice()
+            .chunks_exact(chw)
+            .zip(out.chunks_exact_mut(oc * n_cols))
+        {
+            self.lowering.im2col(sample, false, &mut self.cols);
+            matmul_into(weight, &self.cols, n_cols, dst);
+            for (row, &bias) in dst.chunks_exact_mut(n_cols).zip(self.bias.as_slice()) {
+                for d in row {
+                    *d += bias;
                 }
             }
         }
         self.cached_input = Some(input.clone());
-        Ok(out)
+        Ok(Tensor::from_vec(out, &[batch, oc, g.oh, g.ow])?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .clone()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
-        let (batch, h, w) = self.check_input(&input)?;
-        let (oh, pad_h) = self.padding.geometry(h, self.kernel, self.stride);
-        let (ow, pad_w) = self.padding.geometry(w, self.kernel, self.stride);
-        if grad_out.dims() != [batch, self.out_channels, oh, ow] {
-            return Err(NnError::BadInputShape {
-                layer: self.name(),
-                expected: format!("[{batch}, {}, {oh}, {ow}] gradient", self.out_channels),
-                got: grad_out.dims().to_vec(),
-            });
-        }
-        let ckk = self.in_channels * self.kernel * self.kernel;
-        let n_cols = oh * ow;
-        let mut dx = Tensor::zeros(input.dims());
-        let mut cols = vec![0.0f32; ckk * n_cols];
-        let weight_t = self.weight.transpose()?; // [ckk, oc]
-        for b in 0..batch {
-            let sample = &input.as_slice()[b * self.in_channels * h * w..];
-            self.im2col(sample, h, w, oh, ow, pad_h, pad_w, &mut cols);
-            let cols_t = Tensor::from_vec(cols.clone(), &[ckk, n_cols])?;
-            let go_mat = Tensor::from_vec(
-                grad_out.as_slice()
-                    [b * self.out_channels * n_cols..(b + 1) * self.out_channels * n_cols]
-                    .to_vec(),
-                &[self.out_channels, n_cols],
-            )?;
-            // dW += dy · colsᵀ
-            let dw = go_mat.matmul(&cols_t.transpose()?)?;
-            self.grad_weight.add_assign(&dw)?;
-            // db += per-channel sums of dy
-            for oc in 0..self.out_channels {
-                let s: f32 = go_mat.as_slice()[oc * n_cols..(oc + 1) * n_cols]
-                    .iter()
-                    .sum();
-                self.grad_bias.as_mut_slice()[oc] += s;
-            }
-            // dcols = Wᵀ · dy, scattered back to dx
-            let dcols = weight_t.matmul(&go_mat)?;
-            let dsample = &mut dx.as_mut_slice()
-                [b * self.in_channels * h * w..(b + 1) * self.in_channels * h * w];
-            self.col2im(dcols.as_slice(), h, w, oh, ow, pad_h, pad_w, dsample);
-        }
-        Ok(dx)
+        Ok(self
+            .backprop(grad_out, true)?
+            .expect("input gradient requested"))
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backprop(grad_out, false).map(drop)
     }
 
     fn params(&self) -> Vec<&Tensor> {

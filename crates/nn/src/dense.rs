@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use tensor::{Tensor, TensorRng};
+use tensor::{matmul_into, MatRef, Tensor, TensorRng};
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
@@ -77,12 +77,19 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_out)?;
+        // dx = dy · Wᵀ
+        Ok(grad_out.matmul(&self.weight.transpose()?)?)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
+        let batch = input.dims()[0];
         if grad_out.rank() != 2
-            || grad_out.dims()[0] != input.dims()[0]
+            || grad_out.dims()[0] != batch
             || grad_out.dims()[1] != self.out_features
         {
             return Err(NnError::BadInputShape {
@@ -91,10 +98,17 @@ impl Layer for Dense {
                 got: grad_out.dims().to_vec(),
             });
         }
-        // dW = x^T · dy ; db = Σ_batch dy ; dx = dy · W^T
-        let dw = input.transpose()?.matmul(grad_out)?;
-        self.grad_weight.add_assign(&dw)?;
-        let batch = grad_out.dims()[0];
+        // dW = xᵀ · dy ; db = Σ_batch dy
+        let mut dw = vec![0.0f32; self.in_features * self.out_features];
+        matmul_into(
+            MatRef::transposed(input.as_slice(), self.in_features, batch),
+            grad_out.as_slice(),
+            self.out_features,
+            &mut dw,
+        );
+        for (acc, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(&dw) {
+            *acc += v;
+        }
         let gb = self.grad_bias.as_mut_slice();
         let go = grad_out.as_slice();
         for b in 0..batch {
@@ -105,8 +119,7 @@ impl Layer for Dense {
                 *g += v;
             }
         }
-        let dx = grad_out.matmul(&self.weight.transpose()?)?;
-        Ok(dx)
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -12,7 +12,8 @@ use crate::Result;
 ///    for the backward pass (inputs, masks, column buffers);
 /// 2. [`Layer::backward`] consumes the gradient w.r.t. the layer's output,
 ///    **accumulates** gradients into the layer's parameter-gradient buffers
-///    and returns the gradient w.r.t. the layer's input;
+///    and returns the gradient w.r.t. the layer's input
+///    ([`Layer::backward_params`] does the same minus the input gradient);
 /// 3. [`Layer::zero_grads`] resets the accumulators between steps.
 ///
 /// Calling `backward` without a preceding `forward` is an error
@@ -41,6 +42,22 @@ pub trait Layer: Send {
     /// Returns [`crate::NnError::BackwardBeforeForward`] when called without
     /// a cached forward pass, and shape errors for inconsistent gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+
+    /// Back-propagates `grad_out` into the parameter gradients only, with
+    /// no gradient w.r.t. the input: what [`crate::Sequential::backward`]
+    /// asks of the first layer that has parameters, since nothing reads
+    /// that layer's input gradient. Accumulates exactly what
+    /// [`Layer::backward`] would.
+    ///
+    /// The default runs [`Layer::backward`] and drops its result; layers
+    /// whose input gradient costs real work override it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
 
     /// The layer's parameters, in a stable order.
     fn params(&self) -> Vec<&Tensor>;

@@ -53,6 +53,8 @@ mod layer;
 mod loss;
 pub mod models;
 mod optimizer;
+#[cfg(test)]
+mod oracle;
 mod pool;
 mod sequential;
 

@@ -1,8 +1,10 @@
 //! Max pooling.
 
+use std::ops::Range;
+
 use tensor::Tensor;
 
-use crate::conv::Padding;
+use crate::conv::{Geometry, Padding};
 use crate::layer::Layer;
 use crate::{NnError, Result};
 
@@ -60,46 +62,44 @@ impl Layer for MaxPool2d {
             input.dims()[2],
             input.dims()[3],
         );
-        let (oh, pad_h) = self.padding.geometry(h, self.kernel, self.stride);
-        let (ow, pad_w) = self.padding.geometry(w, self.kernel, self.stride);
-        let mut out = Tensor::zeros(&[batch, c, oh, ow]);
-        let mut argmax = vec![0usize; batch * c * oh * ow];
+        let g = Geometry::new(self.padding, h, w, self.kernel, self.stride);
+        // Every window's in-bounds input rows and columns, worked out once
+        // per call rather than once per window.
+        let rows: Vec<Range<usize>> = (0..g.oh).map(|oy| g.input_rows(oy)).collect();
+        let cols: Vec<Range<usize>> = (0..g.ow).map(|ox| g.input_cols(ox)).collect();
+        let mut out = vec![0.0f32; batch * c * g.oh * g.ow];
+        let mut argmax = vec![0usize; out.len()];
         let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for b in 0..batch {
-            for ch in 0..c {
-                let plane_off = (b * c + ch) * h * w;
-                let out_off = (b * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for ky in 0..self.kernel {
-                            let iy = (oy * self.stride + ky) as isize - pad_h as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..self.kernel {
-                                let ix = (ox * self.stride + kx) as isize - pad_w as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let idx = plane_off + iy as usize * w + ix as usize;
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        dst[out_off + oy * ow + ox] = best;
-                        argmax[out_off + oy * ow + ox] = best_idx;
+        let out_rows = out
+            .chunks_exact_mut(g.ow)
+            .zip(argmax.chunks_exact_mut(g.ow));
+        for (row, (dst, arg)) in out_rows.enumerate() {
+            // Output row `oy` of plane `plane`.
+            let (plane, oy) = (row / g.oh, row % g.oh);
+            let plane_off = plane * h * w;
+            for ((d, a), xs) in dst.iter_mut().zip(arg.iter_mut()).zip(&cols) {
+                // Windows are never empty under either padding. Ties, and
+                // an all-NaN or all-−∞ window, keep the first in-bounds
+                // element.
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = plane_off + rows[oy].start * w + xs.start;
+                for iy in rows[oy].clone() {
+                    let first = plane_off + iy * w + xs.start;
+                    for (idx, &v) in (first..).zip(&src[first..first + xs.len()]) {
+                        // Selects rather than a branch: which element wins
+                        // is data-dependent and mispredicts.
+                        let wins = v > best;
+                        best = if wins { v } else { best };
+                        best_idx = if wins { idx } else { best_idx };
                     }
                 }
+                *d = best;
+                *a = best_idx;
             }
         }
         self.argmax = Some(argmax);
         self.input_dims = Some(input.dims().to_vec());
-        Ok(out)
+        Ok(Tensor::from_vec(out, &[batch, c, g.oh, g.ow])?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -189,6 +189,48 @@ mod tests {
         let y = pool.forward(&x, true).unwrap();
         assert_eq!(y.dims(), &[1, 1, 1, 1]);
         assert_eq!(y.as_slice(), &[-3.0]);
+    }
+
+    #[test]
+    fn a_window_with_no_winner_routes_to_its_first_element() {
+        // Sample 1's windows are all NaN and all −∞: nothing beats the −∞
+        // start, so the output is −∞ and the gradient goes to the window's
+        // first element — not to element 0 of sample 0.
+        let mut x = vec![1.0, 2.0, 3.0, 4.0];
+        x.extend([f32::NAN; 4]);
+        x.extend([f32::NEG_INFINITY; 4]);
+        let x = Tensor::from_vec(x, &[3, 1, 2, 2]).unwrap();
+        let mut pool = MaxPool2d::new(2, 2, Padding::Valid);
+        let y = pool.forward(&x, true).unwrap();
+        assert_eq!(y.as_slice(), &[4.0, f32::NEG_INFINITY, f32::NEG_INFINITY]);
+        let dy = Tensor::from_vec(vec![1.0, 10.0, 100.0], &[3, 1, 1, 1]).unwrap();
+        let dx = pool.backward(&dy).unwrap();
+        let mut want = vec![0.0; 12];
+        want[3] = 1.0;
+        want[4] = 10.0;
+        want[8] = 100.0;
+        assert_eq!(dx.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn a_clipped_window_starts_at_its_first_in_bounds_element() {
+        // SAME, k=3, s=2 on 3×3 pads one row and column on each side. The
+        // last window's in-bounds cells are 4, 5, 7 and 8, all NaN, so its
+        // gradient goes to cell 4.
+        let mut x: Vec<f32> = (0..9).map(|v| v as f32).collect();
+        for i in [4, 5, 7, 8] {
+            x[i] = f32::NAN;
+        }
+        let x = Tensor::from_vec(x, &[1, 1, 3, 3]).unwrap();
+        let mut pool = MaxPool2d::new(3, 2, Padding::Same);
+        let y = pool.forward(&x, true).unwrap();
+        assert_eq!(y.as_slice(), &[3.0, 2.0, 6.0, f32::NEG_INFINITY]);
+        let dx = pool.backward(&Tensor::ones(&[1, 1, 2, 2])).unwrap();
+        let mut want = [0.0; 9];
+        for i in [2, 3, 4, 6] {
+            want[i] = 1.0;
+        }
+        assert_eq!(dx.as_slice(), &want);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use tensor::Tensor;
 
 use crate::layer::Layer;
-use crate::{NnError, Result};
+use crate::{softmax_cross_entropy, NnError, Result};
 
 /// An ordered stack of layers with a **flat parameter-vector view**.
 ///
@@ -58,19 +58,60 @@ impl Sequential {
         Ok(x)
     }
 
-    /// Runs the full backward pass from the loss gradient, accumulating
-    /// parameter gradients in every layer. Returns the gradient w.r.t. the
+    /// Back-propagates the loss gradient, accumulating parameter gradients
+    /// in every layer that has parameters.
+    ///
+    /// The pass stops at the first layer with parameters: that layer
+    /// forms no input gradient, and the layers before it (a leading
+    /// [`crate::Flatten`], say) are not visited, since nothing reads what
+    /// they would compute. [`Sequential::backward_to_input`] runs the
+    /// whole chain and returns the gradient w.r.t. the network input.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer errors (including backward-before-forward).
+    pub fn backward(&mut self, grad_output: &Tensor) -> Result<()> {
+        let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) else {
+            return Ok(());
+        };
+        let mut g = grad_output.clone();
+        for layer in self.layers[first + 1..].iter_mut().rev() {
+            g = layer.backward(&g)?;
+        }
+        self.layers[first].backward_params(&g)
+    }
+
+    /// Runs the full backward pass, accumulating parameter gradients like
+    /// [`Sequential::backward`], and returns the gradient w.r.t. the
     /// network input.
     ///
     /// # Errors
     ///
     /// Propagates layer errors (including backward-before-forward).
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    pub fn backward_to_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let mut g = grad_output.clone();
         for layer in self.layers.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
         Ok(g)
+    }
+
+    /// One stochastic gradient, the way a worker computes it: loads
+    /// `params`, clears the accumulators, runs forward and
+    /// [`softmax_cross_entropy`] on the mini-batch `(x, labels)`,
+    /// back-propagates, and returns [`Sequential::grad_vector`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParamLengthMismatch`] for a wrong-length
+    /// `params`, and propagates layer and loss errors.
+    pub fn gradient(&mut self, params: &Tensor, x: &Tensor, labels: &[usize]) -> Result<Tensor> {
+        self.set_param_vector(params)?;
+        self.zero_grads();
+        let logits = self.forward(x, true)?;
+        let (_, dlogits) = softmax_cross_entropy(&logits, labels)?;
+        self.backward(&dlogits)?;
+        Ok(self.grad_vector())
     }
 
     /// Resets every layer's gradient accumulators.
@@ -222,6 +263,81 @@ mod tests {
         assert!(g.norm() > 0.0);
         m.zero_grads();
         assert_eq!(m.grad_vector().norm(), 0.0);
+    }
+
+    /// A layer without parameters whose backward pass must not run.
+    struct NoBackward;
+
+    impl Layer for NoBackward {
+        fn name(&self) -> String {
+            "no-backward".to_owned()
+        }
+        fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+        fn backward(&mut self, _grad_out: &Tensor) -> Result<Tensor> {
+            panic!("backward ran below the first layer with parameters")
+        }
+        fn params(&self) -> Vec<&Tensor> {
+            Vec::new()
+        }
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            Vec::new()
+        }
+        fn grads(&self) -> Vec<&Tensor> {
+            Vec::new()
+        }
+        fn zero_grads(&mut self) {}
+    }
+
+    #[test]
+    fn backward_stops_at_the_first_layer_with_params() {
+        let mut rng = TensorRng::new(5);
+        let mut m = Sequential::new()
+            .with(NoBackward)
+            .with(Dense::new(4, 8, &mut rng))
+            .with(Relu::new())
+            .with(Dense::new(8, 2, &mut rng));
+        let x = rng.uniform_tensor(&[3, 4], -1.0, 1.0);
+        let y = m.forward(&x, true).unwrap();
+        m.backward(&Tensor::ones(y.dims())).unwrap();
+        assert!(m.grad_vector().norm() > 0.0);
+    }
+
+    #[test]
+    fn backward_to_input_accumulates_the_same_gradients() {
+        let mut m = two_layer();
+        let x = TensorRng::new(6).uniform_tensor(&[3, 4], -1.0, 1.0);
+        let y = m.forward(&x, true).unwrap();
+        let dy = Tensor::ones(y.dims());
+        m.backward(&dy).unwrap();
+        let stopped = m.grad_vector();
+        m.zero_grads();
+        let dx = m.backward_to_input(&dy).unwrap();
+        assert_eq!(dx.dims(), x.dims());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&m.grad_vector()), bits(&stopped));
+    }
+
+    #[test]
+    fn gradient_is_one_worker_step() {
+        let mut m = two_layer();
+        let mut rng = TensorRng::new(7);
+        let params = rng.uniform_tensor(&[m.param_count()], -1.0, 1.0);
+        let x = rng.uniform_tensor(&[5, 4], -1.0, 1.0);
+        let labels = [0, 1, 1, 0, 1];
+        let g = m.gradient(&params, &x, &labels).unwrap();
+        // The same steps by hand.
+        m.set_param_vector(&params).unwrap();
+        m.zero_grads();
+        let logits = m.forward(&x, true).unwrap();
+        let (_, dl) = softmax_cross_entropy(&logits, &labels).unwrap();
+        m.backward(&dl).unwrap();
+        assert_eq!(g, m.grad_vector());
+        assert!(matches!(
+            m.gradient(&Tensor::zeros(&[3]), &x, &labels),
+            Err(NnError::ParamLengthMismatch { .. })
+        ));
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn full_small_cnn_gradients() {
 
 #[test]
 fn gradient_of_input_matches_finite_difference() {
-    // Backward also returns d loss / d input; verify it on a dense net.
+    // backward_to_input returns d loss / d input; verify it on a dense net.
     let mut rng = TensorRng::new(41);
     let mut model = models::mlp(&[3, 5, 2], &mut rng).unwrap();
     let x = rng.uniform_tensor(&[1, 3], 0.3, 1.0);
@@ -153,7 +153,7 @@ fn gradient_of_input_matches_finite_difference() {
 
     let logits = model.forward(&x, true).unwrap();
     let (_, dlogits) = softmax_cross_entropy(&logits, &labels).unwrap();
-    let dx = model.backward(&dlogits).unwrap();
+    let dx = model.backward_to_input(&dlogits).unwrap();
 
     let eps = 1e-2f32;
     for i in 0..x.len() {

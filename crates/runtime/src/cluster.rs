@@ -31,7 +31,7 @@ use guanyu::node::{
 use guanyu::shard::ShardPlan;
 use guanyu::trace::Trace;
 use guanyu::GuanYuError;
-use nn::{softmax_cross_entropy, LrSchedule, Sequential};
+use nn::{LrSchedule, Sequential};
 use tensor::{Tensor, TensorRng};
 
 use crate::pool::PoolStats;
@@ -554,13 +554,8 @@ impl WorkerPipeline {
     }
 
     fn compute(&mut self, view: &Tensor) -> Option<Tensor> {
-        self.model.set_param_vector(view).ok()?;
-        self.model.zero_grads();
         let (x, labels) = self.batcher.next_batch(&self.train).ok()?;
-        let logits = self.model.forward(&x, true).ok()?;
-        let (_, dl) = softmax_cross_entropy(&logits, &labels).ok()?;
-        self.model.backward(&dl).ok()?;
-        Some(self.model.grad_vector())
+        self.model.gradient(view, &x, &labels).ok()
     }
 }
 
